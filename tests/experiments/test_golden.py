@@ -1,7 +1,7 @@
 """Golden regression fixtures for the reproduced numbers.
 
-Small-size renderings of Figure 3 and Table 4 are checked into
-``tests/data/`` and compared byte-for-byte.  Any refactor of the
+Small-size renderings of Figure 3, Figure 9 and Table 4 are checked
+into ``tests/data/`` and compared byte-for-byte.  Any refactor of the
 runner, the sweep harness, or the simulator that silently shifts a
 reproduced number fails here first.
 
@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import fig3_speedup, table4_model
+from repro.experiments import fig3_speedup, fig9_logicspeed, table4_model
 from repro.experiments.results import ExperimentResult
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -24,6 +24,12 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 GOLDEN = {
     "fig3_golden.txt": lambda: fig3_speedup.run(
         apps=["array-insert", "database"], sweep=[1, 4]
+    ),
+    # Two logic divisors over sizes below (2, 8 pages) and above (32,
+    # 256 pages) the conventional extrapolation cap: the points share
+    # conventional baselines across divisors and across capped sizes.
+    "fig9_golden.txt": lambda: fig9_logicspeed.run(
+        apps=["matrix-simplex", "database"], divisors=[2, 10]
     ),
     "table4_golden.txt": lambda: table4_model.run(
         apps=["array-insert", "database"], sweep=[1, 4]
