@@ -15,21 +15,36 @@ execution as a small batch system instead:
     everything the simulation depends on, so two equal tasks always
     produce bit-identical results.
 
-``run_sweep``
-    Executes a list of tasks, preserving input order.  Identical tasks
-    are computed once; with ``jobs > 1`` the distinct tasks fan out
-    across a process pool (each worker rebuilds the whole machine from
-    the task, and per-task RNG seeding is derived from the task hash,
-    so pooled and in-process execution are bit-identical).  Execution
-    is *resilient*: a raising task records a per-task failure instead
-    of aborting the sweep, crashed or hung workers are retried with
-    exponential backoff (``retries`` / ``task_timeout_s`` settings),
-    and a sweep with unrecoverable tasks still returns — partial, with
-    the failures itemized in ``SweepOutcome.notes()``.  Completed
-    tasks are memoized in an on-disk cache.
+Legs
+    The unit that is keyed, cached, deduplicated and executed.  A leg
+    is one simulation: a ``SweepTask`` of mode ``conventional`` (one
+    :func:`~repro.experiments.runner.run_conventional`) or ``radram``
+    (one :func:`~repro.experiments.runner.run_radram`).  Every other
+    mode (``speedup``, ``faults``, ``constants``) is a pure function of
+    its two legs' values (:meth:`SweepTask.legs`).  The conventional
+    leg carries no RADram state and is keyed at the page count it
+    actually simulates, after the ``cap_pages`` extrapolation cap; the
+    ``n_pages / simulated`` scaling is applied when the legs are
+    combined.  So the Figure 9 points of one size (which differ only
+    in the RADram logic speed), and sizes of one application above the
+    cap, share one conventional simulation.
 
-    The execution core (cache lookup, duplicate folding, pool fan-out,
-    retry/timeout machinery) lives in
+``run_sweep``
+    Executes a list of tasks, preserving input order.  Tasks are
+    expanded into legs; identical legs are computed once; with
+    ``jobs > 1`` the distinct legs fan out across a process pool (each
+    worker rebuilds the whole machine from the leg, and per-leg RNG
+    seeding is derived from the leg's key, so pooled and in-process
+    execution are bit-identical).  Execution is *resilient*: a raising
+    leg records a per-task failure instead of aborting the sweep,
+    crashed or hung workers are retried with exponential backoff
+    (``retries`` / ``task_timeout_s`` settings), and a sweep with
+    unrecoverable tasks still returns — partial, with the failures
+    itemized in ``SweepOutcome.notes()``.  Completed legs are memoized
+    in an on-disk cache.
+
+    The execution core (leg expansion, cache lookup, duplicate
+    folding, pool fan-out, retry/timeout machinery) lives in
     :class:`repro.serve.scheduler.TaskScheduler`; ``run_sweep`` wraps
     it with the process-wide settings and counters.  The ``repro
     serve`` server drives the identical scheduler, so service and CLI
@@ -37,14 +52,15 @@ execution as a small batch system instead:
     caller (a server worker thread, a test) adjust one sweep without
     touching the process-global settings: :func:`settings_scope`,
     :func:`coalesce_scope` (install a
-    :class:`~repro.serve.scheduler.SingleFlight` table) and
-    :func:`progress_scope` (observe per-task completions).
+    :class:`~repro.serve.scheduler.SingleFlight` table over leg keys)
+    and :func:`progress_scope` (observe per-task completions).
 
 ``ResultCache``
     A content-addressed JSON store under ``.repro_cache/`` (or
     ``$REPRO_CACHE_DIR``).  Keys are SHA-256 hashes over the canonical
     task encoding, the cache schema version, and ``repro.__version__``;
-    corrupt or truncated entries are dropped and recomputed.  The
+    corrupt or truncated entries are dropped and recomputed.  Sweeps
+    store one entry per leg and none per task (schema 4).  The
     ``--no-cache`` CLI flag (→ :func:`configure`) bypasses it.
 
 Experiment modules declare their sweeps as task lists and read results
@@ -85,7 +101,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.memory import DEFAULT_PAGE_BYTES
 
 #: Bump when the meaning of cached values changes (invalidates entries).
-CACHE_SCHEMA = 3  # bumped: workload params + generator tag join the key
+CACHE_SCHEMA = 4  # bumped: entries are legs, not whole tasks
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -99,7 +115,13 @@ MODE_SPEEDUP = "speedup"  # conventional vs RADram at one size
 MODE_CONSTANTS = "constants"  # Table 4 calibration (T_A/T_P/T_C)
 MODE_FAULTS = "faults"  # speedup under fault injection + fault counters
 
-_MODES = (MODE_SPEEDUP, MODE_CONSTANTS, MODE_FAULTS)
+#: Leg modes: one simulation each; every other mode combines one of each.
+MODE_CONVENTIONAL = "conventional"  # one run_conventional
+MODE_RADRAM = "radram"  # one run_radram
+
+LEG_MODES = (MODE_CONVENTIONAL, MODE_RADRAM)
+
+_MODES = (MODE_SPEEDUP, MODE_CONSTANTS, MODE_FAULTS) + LEG_MODES
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +186,10 @@ class SweepTask:
     def canonical(self) -> Dict[str, object]:
         """JSON-ready encoding; equal tasks encode identically."""
         encoded = dataclasses.asdict(self)
+        # 8 == 8.0 as a field value, so both must key alike.
+        encoded["n_pages"] = float(self.n_pages)
+        if self.cap_pages is not None:
+            encoded["cap_pages"] = float(self.cap_pages)
         return encoded
 
     def key(self) -> str:
@@ -175,6 +201,32 @@ class SweepTask:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def legs(self) -> Tuple["SweepTask", ...]:
+        """The simulations this task's values are a pure function of.
+
+        A leg is its own only leg.  Any other task has a conventional
+        leg — no RADram state, at the page count ``run_conventional``
+        simulates after the ``cap_pages`` cap — and a RADram leg.
+        """
+        if self.mode in LEG_MODES:
+            return (self,)
+        from repro.apps.registry import ALL_APPS
+        from repro.experiments.runner import conventional_pages
+
+        app = ALL_APPS.get(self.app_name)  # an unknown app fails in its legs
+        pages = (
+            self.n_pages
+            if app is None
+            else conventional_pages(app, self.n_pages, self.cap_pages)
+        )
+        base = dataclasses.replace(self, cap_pages=None)
+        return (
+            dataclasses.replace(
+                base, mode=MODE_CONVENTIONAL, n_pages=pages, radram_config=None
+            ),
+            dataclasses.replace(base, mode=MODE_RADRAM),
+        )
 
 
 #: Sentinel: "use the runner's default extrapolation cap".
@@ -291,12 +343,20 @@ TRACE_KEY_PREFIX = "trace."
 def execute_task(task: SweepTask, trace_summary: bool = False) -> Dict[str, float]:
     """Run one task's simulations; returns a flat, JSON-able mapping.
 
+    A leg runs its one simulation; any other task runs its legs and
+    combines their values, exactly as :func:`run_sweep` does.
+
     With ``trace_summary`` the simulations execute under
     :func:`repro.trace.events.tracing` and the flattened
     :func:`repro.trace.export.summarize` of the captured events is
     merged into the values under ``trace.``-prefixed keys — so cached
     sweep results carry a trace digest alongside the measurements.
     """
+    if task.mode not in LEG_MODES:
+        legs = task.legs()
+        return _combine(
+            task, legs, [execute_task(leg, trace_summary) for leg in legs]
+        )
     if trace_summary:
         from repro.trace import events as trace_events
         from repro.trace import export as trace_export
@@ -310,90 +370,76 @@ def execute_task(task: SweepTask, trace_summary: bool = False) -> Dict[str, floa
         return values
 
     from repro.apps.registry import get_app
-    from repro.experiments.runner import (
-        measure_speedup,
-        run_conventional,
-        run_radram,
-    )
+    from repro.experiments import runner
     from repro.faults import chaos
 
     chaos.maybe_injure(task.key(), task.app_name)
     _seed_rngs(task)
     app = get_app(task.app_name)
-    params = task.params_dict()
-    if task.mode == MODE_FAULTS:
-        conv = run_conventional(
-            app,
-            task.n_pages,
-            page_bytes=task.page_bytes,
-            machine_config=task.machine_config,
-            seed=task.seed,
-            cap_pages=task.cap_pages,
-            params=params,
-        )
-        rad = run_radram(
-            app,
-            task.n_pages,
-            page_bytes=task.page_bytes,
-            machine_config=task.machine_config,
-            radram_config=task.radram_config,
-            seed=task.seed,
-            params=params,
-        )
-        values = {
-            "conventional_ns": conv.total_ns,
-            "radram_ns": rad.total_ns,
-            "speedup": conv.total_ns / rad.total_ns,
-            "stall_fraction": rad.stall_fraction,
-        }
-        values.update(
-            {f"faults.{name}": v for name, v in rad.fault_counters.items()}
-        )
-        return values
-    if task.mode == MODE_SPEEDUP:
-        point = measure_speedup(
-            app,
-            task.n_pages,
-            page_bytes=task.page_bytes,
-            machine_config=task.machine_config,
-            radram_config=task.radram_config,
-            seed=task.seed,
-            cap_pages=task.cap_pages,
-            params=params,
-        )
-        return {
-            "conventional_ns": point.conventional_ns,
-            "radram_ns": point.radram_ns,
-            "speedup": point.speedup,
-            "stall_fraction": point.stall_fraction,
-        }
-    # MODE_CONSTANTS — Section 7.4.2 calibration at a medium size.
-    rad = run_radram(
-        app,
-        task.n_pages,
-        page_bytes=task.page_bytes,
-        machine_config=task.machine_config,
-        radram_config=task.radram_config,
-        seed=task.seed,
-        params=params,
-    )
-    conv = run_conventional(
-        app,
-        task.n_pages,
+    common = dict(
         page_bytes=task.page_bytes,
         machine_config=task.machine_config,
         seed=task.seed,
-        cap_pages=task.cap_pages,
-        params=params,
+        params=task.params_dict(),
     )
-    activations = max(1, rad.stats.activations)
-    return {
-        "t_a_us": rad.stats.phase_mean_ns(PHASE_ACTIVATION) / 1e3,
-        "t_p_us": rad.stats.phase_mean_ns(PHASE_POST, exclude_wait=True) / 1e3,
-        "t_c_us": rad.mean_page_busy_ns / 1e3,
-        "t_conv_per_activation_us": conv.total_ns / activations / 1e3,
+    if task.mode == MODE_CONVENTIONAL:
+        conv = runner.run_conventional(app, task.n_pages, cap_pages=None, **common)
+        return {"total_ns": conv.total_ns}
+    rad = runner.run_radram(
+        app, task.n_pages, radram_config=task.radram_config, **common
+    )
+    values = {
+        "total_ns": rad.total_ns,
+        "stall_fraction": rad.stall_fraction,
+        "t_a_ns": rad.stats.phase_mean_ns(PHASE_ACTIVATION),
+        "t_p_ns": rad.stats.phase_mean_ns(PHASE_POST, exclude_wait=True),
+        "t_c_ns": rad.mean_page_busy_ns,
         "activations": float(rad.stats.activations),
     }
+    values.update({f"faults.{name}": v for name, v in rad.fault_counters.items()})
+    return values
+
+
+def _combine(
+    task: SweepTask,
+    legs: Sequence[SweepTask],
+    values: Sequence[Mapping[str, float]],
+) -> Dict[str, float]:
+    """A task's values from its legs' values (see :meth:`SweepTask.legs`).
+
+    Trace digests of the legs are summed: every ``summarize`` key is a
+    count or a total.
+    """
+    (conv_leg, _), (conv, rad) = legs, values
+    conv_ns = conv["total_ns"]
+    if conv_leg.n_pages != task.n_pages:
+        # run_conventional's measure-and-extrapolate, same expression.
+        conv_ns *= task.n_pages / conv_leg.n_pages
+    if task.mode == MODE_CONSTANTS:
+        # Section 7.4.2 calibration at a medium size.
+        combined = {
+            "t_a_us": rad["t_a_ns"] / 1e3,
+            "t_p_us": rad["t_p_ns"] / 1e3,
+            "t_c_us": rad["t_c_ns"] / 1e3,
+            "t_conv_per_activation_us": conv_ns / max(1.0, rad["activations"]) / 1e3,
+            "activations": rad["activations"],
+        }
+    else:
+        combined = {
+            "conventional_ns": conv_ns,
+            "radram_ns": rad["total_ns"],
+            "speedup": conv_ns / rad["total_ns"],
+            "stall_fraction": rad["stall_fraction"],
+        }
+        if task.mode == MODE_FAULTS:
+            combined.update(
+                {k: v for k, v in rad.items() if k.startswith("faults.")}
+            )
+    for leg_values in values:
+        for k, v in leg_values.items():
+            if k.startswith(TRACE_KEY_PREFIX):
+                combined[k] = combined.get(k, 0.0) + v
+    return combined
 
 
 @dataclass
@@ -442,12 +488,43 @@ def _pool_entry(
     return values, time.perf_counter() - t0
 
 
+def combine_legs(task: SweepTask, legs: Sequence[TaskResult]) -> TaskResult:
+    """``task``'s result from its legs' results, in ``task.legs()`` order.
+
+    Wall time is the legs' sum, the result is cached when every leg
+    was, and the first failed leg fails the task.
+    """
+    if task.mode in LEG_MODES:
+        return legs[0]
+    attempts = max(r.attempts for r in legs)
+    for r in legs:
+        if r.error is not None:
+            return TaskResult(
+                task=task,
+                values={},
+                wall_s=0.0,
+                attempts=attempts,
+                error=f"{r.task.mode} leg: {r.error}",
+            )
+    return TaskResult(
+        task=task,
+        values=_combine(task, [r.task for r in legs], [r.values for r in legs]),
+        wall_s=sum(r.wall_s for r in legs),
+        cached=all(r.cached for r in legs),
+        attempts=attempts,
+    )
+
+
 # ----------------------------------------------------------------------
 # On-disk cache
 
 
 class ResultCache:
-    """Content-addressed JSON store of completed task results."""
+    """Content-addressed JSON store of completed results, one per key.
+
+    Sweeps store leg results (:meth:`SweepTask.legs`); the store itself
+    keeps whatever result it is given under its task's key.
+    """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
@@ -722,7 +799,7 @@ _settings_override: "contextvars.ContextVar[Optional[HarnessSettings]]" = (
     contextvars.ContextVar("repro_harness_settings", default=None)
 )
 
-#: Context-local coalescing executor for distinct uncached tasks
+#: Context-local coalescing executor for distinct uncached legs
 #: (``(tasks, scheduler) -> List[TaskResult]``; see
 #: :class:`repro.serve.scheduler.SingleFlight`).
 _unique_executor: "contextvars.ContextVar[Optional[Callable]]" = (
@@ -760,7 +837,7 @@ def settings_scope(settings: HarnessSettings):
 def coalesce_scope(executor: Callable):
     """Route this context's sweeps through a coalescing executor.
 
-    ``executor`` receives ``(distinct_uncached_tasks, scheduler)`` and
+    ``executor`` receives ``(distinct_uncached_legs, scheduler)`` and
     returns their results in order — typically a shared
     :class:`repro.serve.scheduler.SingleFlight` so identical in-flight
     work across concurrent sweeps executes exactly once.
@@ -799,12 +876,20 @@ def reset_settings() -> None:
 
 @dataclass
 class SweepStats:
-    """Cache-hit counters and wall-time for one sweep."""
+    """Cache-hit counters and wall-time for one sweep.
+
+    ``hits`` counts distinct tasks whose every leg came from the cache,
+    ``misses`` the other distinct tasks; the ``leg*`` counters count
+    distinct legs, so ``leg_misses`` is the number of simulations run.
+    """
 
     tasks: int = 0
     unique: int = 0
     hits: int = 0
     misses: int = 0
+    legs: int = 0
+    leg_hits: int = 0
+    leg_misses: int = 0
     sim_wall_s: float = 0.0
     #: tasks that failed every attempt (their results carry ``error``).
     failed: int = 0
@@ -839,6 +924,7 @@ class SweepOutcome:
         lines = [
             f"harness: {s.tasks} tasks ({s.misses} simulated, {s.hits} cached), "
             f"jobs={self.settings.jobs}",
+            f"harness: {s.legs} legs ({s.leg_misses} simulated, {s.leg_hits} cached)",
             f"harness: simulation wall time {s.sim_wall_s:.2f}s",
         ]
         if s.retried:
@@ -886,8 +972,9 @@ def run_sweep(
     """Execute ``tasks`` (cache → pool → in-process), preserving order.
 
     Results are returned positionally: ``outcome[i]`` corresponds to
-    ``tasks[i]``.  Duplicate tasks are simulated once and fanned back
-    out to every position that requested them.
+    ``tasks[i]``.  Tasks are expanded into legs; each distinct leg is
+    simulated (or loaded from the cache) once and shared by every task
+    that needs it.
 
     This is a thin wrapper over
     :class:`repro.serve.scheduler.TaskScheduler` — it resolves the

@@ -80,6 +80,23 @@ class SpeedupPoint:
         )
 
 
+def conventional_pages(
+    app: Application,
+    n_pages: float,
+    cap_pages: Optional[float] = DEFAULT_CAP_PAGES,
+    functional: bool = False,
+) -> float:
+    """The page count :func:`run_conventional` simulates for ``n_pages``."""
+    if (
+        cap_pages is not None
+        and app.linear_conventional
+        and not functional
+        and n_pages > cap_pages
+    ):
+        return cap_pages
+    return n_pages
+
+
 def run_conventional(
     app: Application,
     n_pages: float,
@@ -91,16 +108,8 @@ def run_conventional(
     params: Optional[Mapping[str, float]] = None,
 ) -> RunResult:
     """Run the baseline version of ``app`` at ``n_pages``."""
-    simulate_pages = n_pages
-    scaled_from = None
-    if (
-        cap_pages is not None
-        and app.linear_conventional
-        and not functional
-        and n_pages > cap_pages
-    ):
-        simulate_pages = cap_pages
-        scaled_from = cap_pages
+    simulate_pages = conventional_pages(app, n_pages, cap_pages, functional)
+    scaled_from = simulate_pages if simulate_pages != n_pages else None
 
     machine = Machine(config=machine_config, memory=PagedMemory(page_bytes=page_bytes))
     if functional:

@@ -21,7 +21,8 @@ Activation is environmental so injected failures reach pool workers
       }
 
 * A rule fires when ``match`` is a substring of the task's app name or
-  a prefix of its content key.  ``mode`` is ``crash`` (``os._exit``,
+  a prefix of its content key (tasks run as legs, so this is the key
+  of one leg: ``SweepTask.legs()``).  ``mode`` is ``crash`` (``os._exit``,
   simulating a killed/OOMed worker), ``hang`` (sleep far past any
   sane timeout), or ``raise`` (an in-task exception).
 * ``times`` bounds how often the rule fires *across all processes*:

@@ -11,10 +11,10 @@ Pieces
 ------
 
 ``TaskScheduler``
-    Executes :class:`~repro.experiments.harness.SweepTask` lists:
-    cache lookup, duplicate folding, pooled fan-out with bounded
-    retries, exponential backoff, per-task timeout preemption and
-    post-break pool isolation.  Two seams make it reusable and
+    Executes :class:`~repro.experiments.harness.SweepTask` lists as
+    legs (one simulation each): leg expansion, cache lookup, duplicate
+    folding, pooled fan-out with bounded retries, exponential backoff,
+    per-task timeout preemption and post-break pool isolation.  Two seams make it reusable and
     deterministic to test:
 
     * ``clock`` — all sleeping, timing and future-waiting goes through
@@ -25,7 +25,7 @@ Pieces
       so scheduling decisions can be exercised without real processes.
 
 ``SingleFlight``
-    A thread-safe in-flight task table keyed by the content-addressed
+    A thread-safe in-flight leg table keyed by the content-addressed
     cache key: the first caller of a key computes, every concurrent
     caller for the same key waits for that one computation and shares
     the result.  Installed into a sweep via
@@ -35,6 +35,8 @@ Pieces
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import functools
 import threading
 import time
@@ -84,7 +86,7 @@ class TaskScheduler:
     keeps longer-lived ones per job.
 
     ``unique_executor`` is the coalescing seam: when set, the distinct
-    uncached tasks of a sweep are handed to it (signature
+    uncached legs of a sweep are handed to it (signature
     ``(tasks, scheduler) -> List[TaskResult]``) instead of being
     executed directly; :class:`SingleFlight` is the canonical
     implementation and calls back into :meth:`execute_distinct` for
@@ -116,57 +118,90 @@ class TaskScheduler:
         """Execute ``tasks`` (cache -> pool -> in-process), in order.
 
         Results are positional: ``outcome[i]`` corresponds to
-        ``tasks[i]``; duplicate tasks are simulated once and fanned
-        back out to every position that requested them.
+        ``tasks[i]``.  Each task is expanded into its legs
+        (:meth:`~repro.experiments.harness.SweepTask.legs`); duplicate
+        folding, cache lookup/store and the coalescing seam all work
+        on legs, so a leg shared by several tasks (or positions) is
+        simulated once.  Each task's result is then combined from its
+        legs' results.
         """
         from repro.experiments.harness import (
-            TRACE_KEY_PREFIX,
             SweepOutcome,
             SweepStats,
+            combine_legs,
         )
 
-        settings = self.settings
-        cache = self.cache
         stats = SweepStats(tasks=len(tasks))
-
-        results: List[Optional["TaskResult"]] = [None] * len(tasks)
-        pending: Dict["SweepTask", List[int]] = {}
+        positions: Dict["SweepTask", List[int]] = {}
         for i, task in enumerate(tasks):
-            if task in pending:  # duplicate of an already-pending task
-                pending[task].append(i)
-                continue
-            hit = cache.load(task) if cache is not None else None
-            if hit is not None and settings.trace_summary and not any(
-                k.startswith(TRACE_KEY_PREFIX) for k in hit.values
-            ):
-                # Cached before trace summaries were requested: recompute
-                # so the entry gains its trace.* digest.
-                hit = None
-            if hit is not None:
-                stats.hits += 1
-                results[i] = hit
-                self._notify(hit)
-            else:
-                pending[task] = [i]
+            positions.setdefault(task, []).append(i)
+        legs_of = {task: task.legs() for task in positions}
+        stats.unique = len(positions)
 
-        unique = list(pending)
-        stats.unique = len(unique) + stats.hits
-        stats.misses = len(unique)
-        if unique:
-            computed = self.execute_unique(unique)
-            for task, result in zip(unique, computed):
+        done: Dict["SweepTask", "TaskResult"] = {}
+        pending: Dict["SweepTask", None] = {}  # insertion-ordered set
+        for legs in legs_of.values():
+            for leg in legs:
+                if leg in done or leg in pending:
+                    continue
+                hit = self._load(leg)
+                if hit is None:
+                    pending[leg] = None
+                else:
+                    done[leg] = hit
+        stats.legs = len(done) + len(pending)
+        stats.leg_hits = len(done)
+        stats.leg_misses = len(pending)
+
+        if pending:
+            owners = sum(
+                any(leg in pending for leg in legs) for legs in legs_of.values()
+            )
+            # A pool costs more to start than one task's legs take to
+            # run: only several tasks' worth of legs is worth pooling.
+            executor = self if owners > 1 else self._in_process()
+            computed = executor.execute_unique(list(pending))
+            for leg, result in zip(pending, computed):
                 stats.sim_wall_s += result.wall_s
                 stats.retried += result.attempts - 1
-                if result.error is not None:
-                    stats.failed += 1
-                if cache is not None:
-                    cache.store(result)  # no-op for failed results
-                self._notify(result)
-                for i in pending[task]:
-                    results[i] = result
+                if self.cache is not None:
+                    self.cache.store(result)  # no-op for failed results
+                done[leg] = result
 
-        assert all(r is not None for r in results)
-        return SweepOutcome(results=results, stats=stats, settings=settings)  # type: ignore[arg-type]
+        results: List[Optional["TaskResult"]] = [None] * len(tasks)
+        for task, indices in positions.items():
+            result = combine_legs(task, [done[leg] for leg in legs_of[task]])
+            if result.cached:
+                stats.hits += 1
+            else:
+                stats.misses += 1
+            if result.error is not None:
+                stats.failed += 1
+            self._notify(result)
+            for i in indices:
+                results[i] = result
+        return SweepOutcome(results=results, stats=stats, settings=self.settings)  # type: ignore[arg-type]
+
+    def _load(self, leg: "SweepTask") -> Optional["TaskResult"]:
+        """The cached result of ``leg``, or None when it must run."""
+        from repro.experiments.harness import TRACE_KEY_PREFIX
+
+        if self.cache is None:
+            return None
+        hit = self.cache.load(leg)
+        if hit is not None and self.settings.trace_summary and not any(
+            k.startswith(TRACE_KEY_PREFIX) for k in hit.values
+        ):
+            # Cached before trace summaries were requested: recompute
+            # so the entry gains its trace.* digest.
+            return None
+        return hit
+
+    def _in_process(self) -> "TaskScheduler":
+        """This scheduler with pooling off (``jobs=1``)."""
+        serial = copy.copy(self)
+        serial.settings = dataclasses.replace(self.settings, jobs=1)
+        return serial
 
     def execute_unique(self, tasks: List["SweepTask"]) -> List["TaskResult"]:
         """Execute distinct, uncached tasks (through the coalescer if set)."""
@@ -266,7 +301,9 @@ class TaskScheduler:
           so a persistent crasher exhausts only its own attempt budget
           and innocent bystanders complete;
         * a **hung** worker trips ``task_timeout_s``; the stuck process
-          is terminated and the task retried;
+          is terminated and the task retried.  Tasks queued behind hung
+          ones time out with them, so later rounds isolate tasks here
+          too;
         * retry rounds back off exponentially and give up after
           ``settings.retries`` extra attempts, recording the last error.
         """
@@ -280,7 +317,7 @@ class TaskScheduler:
         attempts: Dict[int, int] = {i: 0 for i in range(len(tasks))}
         last_error: Dict[int, str] = {}
         remaining = list(range(len(tasks)))
-        isolate = False  # after a pool break: one single-worker pool per task
+        isolate = False  # after a break or hang: one single-worker pool per task
 
         round_index = 0
         while remaining:
@@ -289,8 +326,9 @@ class TaskScheduler:
             retry: List[int] = []
             broke = False
             if isolate:
-                # Crash attribution: each task gets a private pool (still
-                # at most ``jobs`` worker processes alive at once).
+                # Crash and hang attribution: each task gets a private
+                # pool (still at most ``jobs`` worker processes alive at
+                # once).
                 batches = [
                     remaining[k : k + settings.jobs]
                     for k in range(0, len(remaining), settings.jobs)
@@ -320,6 +358,7 @@ class TaskScheduler:
                     except FutureTimeoutError:
                         futures[i].cancel()
                         hung.add(executors[i])
+                        broke = True
                         last_error[i] = (
                             f"timed out after {settings.task_timeout_s:g}s"
                         )
@@ -391,13 +430,13 @@ class _Flight:
 class SingleFlight:
     """Per-key single-flight table: one computation, many waiters.
 
-    Keys are the content-addressed :meth:`SweepTask.key` — the same
-    identity the on-disk cache uses, so coalescing composes with the
-    cache: ``run_sweep`` consults the cache first, and only genuinely
-    uncached work reaches this table.  The first sweep to register a
-    key computes it (through its scheduler's normal pooled/serial
-    path); every concurrent sweep asking for the same key blocks on the
-    flight's event and shares the one result.
+    Keys are the content-addressed :meth:`SweepTask.key` of legs — the
+    same identity the on-disk cache uses, so coalescing composes with
+    the cache: ``run_sweep`` consults the cache first, and only
+    genuinely uncached legs reach this table.  The first sweep to
+    register a key computes it (through its scheduler's normal
+    pooled/serial path); every concurrent sweep asking for the same key
+    blocks on the flight's event and shares the one result.
 
     Thread-safe; intended to be shared across the server's worker
     threads via :func:`repro.experiments.harness.coalesce_scope`.
@@ -429,7 +468,7 @@ class SingleFlight:
     ) -> List["TaskResult"]:
         """``unique_executor`` entry point: coalesce, compute, wait.
 
-        ``tasks`` are the distinct uncached tasks of one sweep.  Keys
+        ``tasks`` are the distinct uncached legs of one sweep.  Keys
         not in flight are claimed and computed by *this* call via
         ``scheduler.execute_distinct``; keys already in flight are
         waited on.  Ordering of the returned results matches ``tasks``.

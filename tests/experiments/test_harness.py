@@ -112,7 +112,8 @@ class TestResultCache:
         settings = settings_for(tmp_path)
         task = fast_task()
         first = run_sweep([task], settings=settings)
-        path = ResultCache(settings.resolve_cache_dir()).path_for(task.key())
+        conventional, _ = task.legs()
+        path = ResultCache(settings.resolve_cache_dir()).path_for(conventional.key())
         path.write_text("{ not json")
         again = run_sweep([task], settings=settings)
         assert again.stats.misses == 1  # recomputed, not crashed
@@ -122,7 +123,8 @@ class TestResultCache:
         settings = settings_for(tmp_path)
         task = fast_task()
         run_sweep([task], settings=settings)
-        path = ResultCache(settings.resolve_cache_dir()).path_for(task.key())
+        conventional, _ = task.legs()
+        path = ResultCache(settings.resolve_cache_dir()).path_for(conventional.key())
         path.write_text(json.dumps({"values": {}}))
         again = run_sweep([task], settings=settings)
         assert again.stats.misses == 1
@@ -139,8 +141,8 @@ class TestResultCache:
         settings = settings_for(tmp_path)
         run_sweep([fast_task(pages=p) for p in (1.0, 2.0)], settings=settings)
         cache = ResultCache(settings.resolve_cache_dir())
-        assert len(cache.entries()) == 2
-        assert cache.clear() == 2
+        assert len(cache.entries()) == 4  # two legs per task
+        assert cache.clear() == 4
         assert cache.entries() == []
 
     def test_version_participates_in_key(self, tmp_path, monkeypatch):

@@ -187,7 +187,8 @@ class TestFailedResultsAndCache:
         chaos_spec([{"match": "database", "mode": "raise", "times": 1}])
         settings = settings_for(tmp_path)
         run_sweep([fast_task()], settings=settings)
-        assert len(ResultCache(settings.resolve_cache_dir()).entries()) == 1
+        # One entry per leg: conventional and RADram.
+        assert len(ResultCache(settings.resolve_cache_dir()).entries()) == 2
         warm = run_sweep([fast_task()], settings=settings)
         assert warm.stats.hits == 1
 

@@ -94,7 +94,8 @@ class TestUniqueExecutorSeam:
             [task, task]
         )
         assert outcome.complete
-        assert calls == [[task]]  # duplicates folded before the seam
+        # duplicates folded before the seam, which sees the task's legs
+        assert calls == [list(task.legs())]
 
     def test_coalesce_scope_routes_harness_sweeps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -106,7 +107,7 @@ class TestUniqueExecutorSeam:
 
         with harness.coalesce_scope(spy):
             outcome = harness.run_sweep(_tasks())
-        assert outcome.complete and calls == [2]
+        assert outcome.complete and calls == [4]  # two legs per task
 
     def test_progress_scope_routes_harness_sweeps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -133,10 +134,12 @@ class TestUniqueExecutorSeam:
 
 @pytest.mark.parametrize("mode", ["speedup", "constants"])
 def test_results_are_cache_key_stable(tmp_path, mode):
-    """Scheduler caching keys off SweepTask.key(), same as before."""
+    """Scheduler caching keys off the legs' SweepTask.key()."""
     make = harness.speedup_task if mode == "speedup" else harness.constants_task
     task = make("array-insert", 2.0)
     settings = harness.HarnessSettings(cache_dir=str(tmp_path))
     cache = harness.ResultCache(settings.resolve_cache_dir())
     TaskScheduler(settings, cache=cache).run_sweep([task])
-    assert cache.load(make("array-insert", 2.0)) is not None
+    legs = make("array-insert", 2.0).legs()
+    assert all(cache.load(leg) is not None for leg in legs)
+    assert cache.load(task) is None  # no task-level entry

@@ -155,7 +155,7 @@ class TestSweepCLI:
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries:" in out and "entries:   0" not in out
-        assert "schema 3:" in out
+        assert "schema 4:" in out
         assert "oldest:" in out and "newest:" in out
 
     def test_cache_clear_action(self, capsys, monkeypatch, tmp_path):

@@ -84,7 +84,7 @@ def test_cache_poisoning_regression(tmp_path):
     # Both tasks now own distinct cache entries (no aliasing on disk).
     assert plain.key() != generated.key()
     cache = harness.ResultCache(settings.resolve_cache_dir())
-    assert len(cache.entries()) == 2
+    assert len(cache.entries()) == 4  # two legs per task
 
     # And both entries now coexist: re-running each hits its own entry.
     warm_plain = run_sweep([plain], settings=settings)
