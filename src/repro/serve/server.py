@@ -276,7 +276,9 @@ class Job:
         #: shard-scoped kill rules target exactly one process.
         self.chaos_shard: Optional[int] = None
         self._seq_lock = threading.Lock()
-        self._update = asyncio.Event()
+        #: one wake-up per live :meth:`stream`: a subscriber clearing a
+        #: shared event could swallow another's wake-up.
+        self._wakeups: Set[asyncio.Event] = set()
 
     def publish(self, event: Dict[str, object], done: bool = False) -> None:
         """Append one event (thread-safe; marks the job done if asked).
@@ -316,7 +318,8 @@ class Job:
             if done:
                 self.done = True
                 self.ok = bool(event.get("ok")) if "ok" in event else None
-            self._update.set()
+            for wakeup in self._wakeups:
+                wakeup.set()
 
         self.loop.call_soon_threadsafe(_apply)
 
@@ -341,28 +344,33 @@ class Job:
         has been idle that long, keeping slow jobs' connections alive
         through proxies and client read timeouts.
         """
+        wakeup = asyncio.Event()
+        self._wakeups.add(wakeup)
         index = 0
-        while True:
-            self._update.clear()
-            while index < len(self.events):
-                event = self.events[index]
-                index += 1
-                if int(event.get("seq", 0)) > after_seq:  # type: ignore[arg-type]
-                    yield event
-            if self.done:
-                return
-            if heartbeat_s is None or heartbeat_s <= 0:
-                await self._update.wait()
-                continue
-            try:
-                await asyncio.wait_for(self._update.wait(), timeout=heartbeat_s)
-            except asyncio.TimeoutError:
-                yield {
-                    "event": "heartbeat",
-                    "job": self.job_id,
-                    "last_seq": self.seq,
-                    "status": self.status,
-                }
+        try:
+            while True:
+                wakeup.clear()
+                while index < len(self.events):
+                    event = self.events[index]
+                    index += 1
+                    if int(event.get("seq", 0)) > after_seq:  # type: ignore[arg-type]
+                        yield event
+                if self.done:
+                    return
+                if heartbeat_s is None or heartbeat_s <= 0:
+                    await wakeup.wait()
+                    continue
+                try:
+                    await asyncio.wait_for(wakeup.wait(), timeout=heartbeat_s)
+                except asyncio.TimeoutError:
+                    yield {
+                        "event": "heartbeat",
+                        "job": self.job_id,
+                        "last_seq": self.seq,
+                        "status": self.status,
+                    }
+        finally:
+            self._wakeups.discard(wakeup)
 
 
 class SweepServer:
@@ -1534,6 +1542,13 @@ def append_serve_history(server: SweepServer) -> Optional[Path]:
 async def amain(config: ServeConfig) -> int:
     server = SweepServer(config)
     await server.start()
+    # Handlers first: a SIGTERM sent on the ``listening`` line drains.
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(sig, server.request_shutdown)
+        except NotImplementedError:  # pragma: no cover - non-POSIX loops
+            pass
     host, port = server.addresses()[0]
     shard_note = ""
     if server.cluster is not None:
@@ -1552,12 +1567,6 @@ async def amain(config: ServeConfig) -> int:
             f"serve: recovered {server.recovered_jobs} journaled job(s)",
             flush=True,
         )
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, server.request_shutdown)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
     await server.wait_drained()
     await server.close()
     history = append_serve_history(server)
