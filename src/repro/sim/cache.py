@@ -28,7 +28,7 @@ Batched access contract
 :meth:`Cache.access_lines` is the primary entry point: it takes a whole
 line-address array (what :mod:`repro.sim.ops` produces for block,
 strided and gather accesses) and resolves hits, misses, evictions and
-writebacks in vectorized passes:
+writebacks in one of three vectorized paths:
 
 * **all-hit batches** (warm re-touch runs) update recency stamps and
   dirty bits with pure array ops — no per-line Python;
@@ -37,10 +37,13 @@ writebacks in vectorized passes:
   segmented index arithmetic: with no re-touches, a set's eviction
   order is exactly "pre-state lines in LRU order, then this batch's
   installs in order";
-* everything else (mixed hit/miss runs, the interleaved
-  demand/writeback streams a lower level receives) falls back to an
-  exact per-set scalar walk over numpy-extracted state, with per-set
-  all-hit groups still peeled off vectorially.
+* **rounds**: everything else (mixed hit/miss runs, re-touches, the
+  interleaved demand/writeback streams a lower level receives) is
+  grouped by set and resolved round-major, one vector op per "``j``-th
+  access of every set that has one".
+
+Narrow ``access_lines`` calls (at most ``_SMALL_BATCH`` lines) skip
+all three and run in the dict regime described below.
 
 Misses are *batched* into the next level: one recursive
 ``access_lines``-style call per level per batch carries the demand
@@ -61,6 +64,8 @@ replaying the batch through the scalar model one line at a time:
 * an all-hit batch cannot evict, so pre-state membership decides it;
 * in a distinct cold batch no install is ever re-touched, so eviction
   order is the FIFO concatenation used by the segmented fast path;
+* a round touches at most one op per set, and a set's rounds are its
+  ops in stream order, so each set sees the scalar model's sequence;
 * per-access latencies are assembled with the same floating-point
   association order as the scalar model (``(hit + fill) + writeback``)
   and summed left-to-right, so total latencies are bit-identical, not
@@ -78,14 +83,17 @@ dirty bit whose iteration order *is* the LRU order (LRU first).  The
 dict state is materialized lazily from the matrices on the first
 scalar access and flushed back on the next wide batch, so uniform
 workloads — an app trace of 16-line block ops, or a microbenchmark of
-megabyte scans — pay for at most one conversion each way.  Both
-regimes implement the identical state machine; the differential suite
-drives them against the scalar reference with mixed batch sizes.
+megabyte scans — pay for at most one conversion each way.  The
+single-line entry points and :meth:`Cache.flush_range` always run in
+this regime.  Both regimes implement the identical state machine; the
+differential suite drives them against the scalar reference with mixed
+batch sizes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -431,7 +439,7 @@ class Cache:
         if demand.all() and not hit.any() and _all_distinct(addrs):
             return self._apply_cold_distinct(addrs, set_idx, tag, kinds)
 
-        return self._apply_general(addrs, set_idx, tag, kinds, hit, match)
+        return self._apply_rounds(set_idx, tag, kinds)
 
     # -- fast path 1: every op hits in the pre-state -------------------
 
@@ -576,206 +584,16 @@ class Cache:
             lat = lat + wb_add
         return lat
 
-    # -- general path: exact per-set scalar walk -----------------------
-
-    def _apply_general(
-        self,
-        addrs: np.ndarray,
-        set_idx: np.ndarray,
-        tag: np.ndarray,
-        kinds: np.ndarray,
-        hit: np.ndarray,
-        match: np.ndarray,
-    ) -> np.ndarray:
-        """Mixed hit/miss (or repeated / install-bearing) batches.
-
-        Sets are independent, so sets whose ops all hit in the
-        pre-state are peeled off with the vector path; the rest are
-        walked per set with exact scalar LRU over numpy-extracted
-        state.  Next-level traffic is re-merged into global order.
-        """
-        n = addrs.shape[0]
-        assoc = self._assoc
-        n_sets = self._n_sets
-
-        order = np.argsort(set_idx, kind="stable")
-        s_sorted = set_idx[order]
-        start, counts, uniq = _group_sorted(s_sorted)
-        m = uniq.shape[0]
-
-        # Peel off all-hit sets (no evictions possible there).
-        hit_sorted = hit[order]
-        group_allhit = np.minimum.reduceat(hit_sorted, start).astype(bool)
-        lat = np.zeros(n)
-        if group_allhit.any():
-            op_allhit = np.repeat(group_allhit, counts)
-            easy = order[op_allhit]
-            lat[easy] = self._apply_all_hits(
-                addrs[easy], set_idx[easy], kinds[easy], match[easy], kinds[easy] != _INSTALL
-            )
-            if group_allhit.all():
-                return lat
-            keep_groups = ~group_allhit
-            keep_ops = ~op_allhit
-            order = order[keep_ops]
-            counts = counts[keep_groups]
-            uniq = uniq[keep_groups]
-            start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            m = uniq.shape[0]
-
-        # Wide batches over many sets: resolve round-major, one vector
-        # op per "j-th access of every set" (exact — sets independent).
-        max_count = int(counts.max())
-        if n >= self._ROUNDS_MIN_OPS and max_count * self._ROUNDS_WIDTH <= order.shape[0]:
-            return self._apply_rounds(lat, order, tag, kinds, start, counts, uniq)
-
-        # Narrow residue: exact per-set scalar walk, MRU-first lists.
-        tag_rows = self._tag[uniq]
-        stamp_rows = np.where(tag_rows == -1, _STAMP_MAX, self._stamp[uniq])
-        lru = np.argsort(stamp_rows, axis=1)
-        pre_tags = np.take_along_axis(tag_rows, lru, axis=1).tolist()
-        pre_dirty = np.take_along_axis(self._dirty[uniq], lru, axis=1).tolist()
-        occ0 = self._occ[uniq].tolist()
-
-        order_l = order.tolist()
-        tag_l = tag[order].tolist()
-        kind_l = kinds[order].tolist()
-        start_l = start.tolist()
-        counts_l = counts.tolist()
-        uniq_l = uniq.tolist()
-
-        hits = misses = writebacks = 0
-        posted_dram_writes = 0
-        read_keys: List[int] = []
-        read_addrs: List[int] = []
-        read_ops: List[int] = []
-        inst_keys: List[int] = []
-        inst_addrs: List[int] = []
-        wb_ops: List[int] = []  # demand ops charged a posted-victim cost
-        hit_ops: List[int] = []  # demand ops that hit
-        has_next = self.next_level is not None
-
-        out_tags: List[List[int]] = []
-        out_dirty: List[List[bool]] = []
-
-        for g in range(m):
-            s = uniq_l[g]
-            occ = occ0[g]
-            # MRU-first working lists for this set.
-            ltags = pre_tags[g][:occ][::-1]
-            ldirty = pre_dirty[g][:occ][::-1]
-            base = start_l[g]
-            for p in range(base, base + counts_l[g]):
-                t = tag_l[p]
-                kd = kind_l[p]
-                op = order_l[p]
-                # Membership test, not try/except: misses dominate here
-                # and raising ValueError per miss costs ~1us each.
-                pos = ltags.index(t) if t in ltags else -1
-                if pos >= 0:
-                    if pos:
-                        ltags.insert(0, ltags.pop(pos))
-                        ldirty.insert(0, ldirty.pop(pos))
-                    if kd == _INSTALL:
-                        ldirty[0] = True
-                    else:
-                        hits += 1
-                        hit_ops.append(op)
-                        if kd == _WRITE:
-                            ldirty[0] = True
-                    continue
-                # Miss at this level.
-                if kd != _INSTALL:
-                    misses += 1
-                    read_keys.append(2 * op)
-                    read_addrs.append(t * n_sets + s)
-                    read_ops.append(op)
-                if len(ltags) >= assoc:
-                    vd = ldirty.pop()
-                    vt = ltags.pop()
-                    if vd:
-                        writebacks += 1
-                        if has_next:
-                            inst_keys.append(2 * op + 1)
-                            inst_addrs.append(vt * n_sets + s)
-                        else:
-                            posted_dram_writes += 1
-                        if kd != _INSTALL:
-                            wb_ops.append(op)
-                            if not has_next:
-                                posted_dram_writes -= 1
-                ltags.insert(0, t)
-                ldirty.insert(0, kd != _READ)
-            out_tags.append(ltags)
-            out_dirty.append(ldirty)
-
-        self.stats.hits += hits
-        self.stats.misses += misses
-        self.stats.writebacks += writebacks
-
-        # Write the per-set outcomes back into the matrices (batched).
-        rows_flat: List[int] = []
-        cols_flat: List[int] = []
-        tags_flat: List[int] = []
-        dirty_flat: List[bool] = []
-        stamps_flat: List[int] = []
-        clock = self._clock
-        for g in range(m):
-            ltags = out_tags[g]
-            occ = len(ltags)
-            row = uniq_l[g]
-            ld = out_dirty[g]
-            for slot in range(occ):  # slot 0 = LRU after reversal below
-                rows_flat.append(row)
-                cols_flat.append(slot)
-                # ltags is MRU-first; store LRU-first so stamp = clock+slot.
-                tags_flat.append(ltags[occ - 1 - slot])
-                dirty_flat.append(ld[occ - 1 - slot])
-                stamps_flat.append(clock + slot)
-        self._clock += assoc
-        self._tag[uniq] = -1
-        self._dirty[uniq] = False
-        self._stamp[uniq] = 0
-        if rows_flat:
-            flat = np.asarray(rows_flat, dtype=np.int64) * assoc + np.asarray(
-                cols_flat, dtype=np.int64
-            )
-            self._tag.reshape(-1)[flat] = tags_flat
-            self._dirty.reshape(-1)[flat] = dirty_flat
-            self._stamp.reshape(-1)[flat] = stamps_flat
-        self._occ[uniq] = [len(t) for t in out_tags]
-
-        return self._charge_and_spill(
-            lat,
-            hit_ops,
-            np.asarray(read_ops, dtype=np.int64),
-            np.asarray(read_keys, dtype=np.int64),
-            np.asarray(read_addrs, dtype=np.int64),
-            np.asarray(inst_keys, dtype=np.int64),
-            np.asarray(inst_addrs, dtype=np.int64),
-            wb_ops,
-            posted_dram_writes,
-        )
-
-    # -- general path, wide batches: round-major vectorization ---------
-
-    #: Use the rounds engine when the batch has at least this many ops...
-    _ROUNDS_MIN_OPS = 192
-    #: ...and the deepest set's op count times this fits in the batch
-    #: (i.e. the average vector width per round is at least this).
-    _ROUNDS_WIDTH = 24
+    # -- general path: round-major vectorization ----------------------
 
     def _apply_rounds(
-        self,
-        lat: np.ndarray,
-        order: np.ndarray,
-        tag: np.ndarray,
-        kinds: np.ndarray,
-        start: np.ndarray,
-        counts: np.ndarray,
-        uniq: np.ndarray,
+        self, set_idx: np.ndarray, tag: np.ndarray, kinds: np.ndarray
     ) -> np.ndarray:
-        """Resolve a grouped batch as per-set rounds of vector ops.
+        """Resolve a batch as per-set rounds of vector ops.
+
+        Takes every batch the two fast paths decline: mixed hit/miss
+        runs, re-touches, and the interleaved demand/install streams a
+        lower level receives.
 
         Round ``j`` processes the ``j``-th op of every set still active
         — exact, because sets share no state.  Per-op Python work
@@ -784,27 +602,31 @@ class Cache:
 
         Stamps are assigned ``clock + j``: within a set the rounds are
         its ops in stream order, so relative recency (all that LRU
-        needs) matches the scalar walk exactly; absolute stamp values
+        needs) matches the scalar model exactly; absolute stamp values
         across sets differ, which is unobservable.
+
+        Per-op latencies keep the scalar model's float association,
+        ``(hit + fill) + writeback``, so the cumsum total is
+        bit-identical to the sequential accumulation.
         """
-        assoc = self._assoc
         n_sets = self._n_sets
 
+        order = np.argsort(set_idx, kind="stable")
+        start, counts, uniq = _group_sorted(set_idx[order])
         # Sort groups by depth so each round's active sets are a prefix.
         grp = np.argsort(-counts, kind="stable")
         counts_d = counts[grp]
         start_d = start[grp]
-        uniq_d = uniq[grp]
+        set_of_group = uniq[grp]
         max_count = int(counts_d[0])
 
         # Working copies of the affected rows; written back at the end.
-        T = self._tag[uniq_d].copy()
-        S = self._stamp[uniq_d].copy()
-        D = self._dirty[uniq_d].copy()
+        T = self._tag[set_of_group].copy()
+        S = self._stamp[set_of_group].copy()
+        D = self._dirty[set_of_group].copy()
 
         tag_sorted = tag[order]
         kind_sorted = kinds[order]
-        set_of_group = uniq_d
 
         hits = misses = writebacks = 0
         posted_dram_writes = 0
@@ -873,69 +695,41 @@ class Cache:
                 S[mi_rows, vway] = clock + j
 
         self._clock += max_count
-        self._tag[uniq_d] = T
-        self._stamp[uniq_d] = S
-        self._dirty[uniq_d] = D
-        self._occ[uniq_d] = (T != -1).sum(axis=1)
+        self._tag[set_of_group] = T
+        self._stamp[set_of_group] = S
+        self._dirty[set_of_group] = D
+        self._occ[set_of_group] = (T != -1).sum(axis=1)
 
         self.stats.hits += hits
         self.stats.misses += misses
         self.stats.writebacks += writebacks
 
-        hit_ops = _concat_i64(hit_parts)
-        read_ops = _concat_i64(read_op_parts)
-        read_addrs = _concat_i64(read_addr_parts)
-        inst_keys = _concat_i64(inst_key_parts)
-        inst_addrs = _concat_i64(inst_addr_parts)
-        wb_ops = _concat_i64(wb_op_parts)
-        return self._charge_and_spill(
-            lat,
-            hit_ops,
-            read_ops,
-            2 * read_ops,
-            read_addrs,
-            inst_keys,
-            inst_addrs,
-            wb_ops,
-            posted_dram_writes,
-        )
-
-    # -- shared latency assembly + next-level costing ------------------
-
-    def _charge_and_spill(
-        self,
-        lat: np.ndarray,
-        hit_ops,
-        read_ops: np.ndarray,
-        read_keys: np.ndarray,
-        read_addrs: np.ndarray,
-        inst_keys: np.ndarray,
-        inst_addrs: np.ndarray,
-        wb_ops,
-        posted_dram_writes: int,
-    ) -> np.ndarray:
-        """Fill per-op latencies and route spilled traffic downward.
-
-        Float association matches the scalar model exactly:
-        ``(hit + fill) + writeback`` per op, so the cumsum total is
-        bit-identical to the sequential accumulation.
-        """
+        # Latency assembly and next-level costing (installs stay 0).
+        lat = np.zeros(order.shape[0])
         hit_ns = self.config.hit_ns
-        if len(hit_ops):
+        hit_ops = _concat_i64(hit_parts)
+        if hit_ops.shape[0]:
             lat[hit_ops] = hit_ns
+        read_ops = _concat_i64(read_op_parts)
+        wb_ops = _concat_i64(wb_op_parts)
         n_reads = read_ops.shape[0]
-        if self.next_level is not None:
-            lower = self._spill(read_addrs, read_keys, inst_addrs, inst_keys)
+        if has_next:
+            lower = self._spill(
+                _concat_i64(read_addr_parts),
+                2 * read_ops,
+                _concat_i64(inst_addr_parts),
+                _concat_i64(inst_key_parts),
+            )
             if n_reads:
                 lat[read_ops] = hit_ns + lower
-            if len(wb_ops):
+            if wb_ops.shape[0]:
                 lat[wb_ops] += self.next_level.config.hit_ns
         else:
             line_bytes = self.config.line_bytes
             if n_reads:
                 fill = self.dram.read_lines(n_reads, line_bytes)
                 lat[read_ops] = hit_ns + fill
-            n_demand_wb = len(wb_ops)
+            n_demand_wb = wb_ops.shape[0]
             if n_demand_wb:
                 wb_cost = self.dram.write_lines(n_demand_wb, line_bytes)
                 lat[wb_ops] += wb_cost
@@ -1032,87 +826,45 @@ class Cache:
         hierarchy, this level first, so L1 victims land in L2 before
         L2's own sweep.
 
-        Runs in whichever regime the level is currently in (flushing
-        is frequent on app streams, so forcing a regime conversion per
-        flush would thrash): the dict walk skips empty sets, the
-        matrix path discovers doomed ways with one vectorized mask.
-        Writebacks are posted in set-ascending, LRU-first order in
-        both — the order the scalar reference model uses.
+        Runs in the dict regime, converting from the matrices first if
+        a wide batch left the level there.  Almost every flush already
+        finds the level in the dict regime: flushes sit between the
+        narrow block ops of app streams.  Writebacks are posted in
+        set-ascending, LRU-first order, the order the scalar reference
+        model uses.
         """
+        self._ensure_lists()
         n_sets = self._n_sets
         total = 0.0
         stats = self.stats
         writeback = self._writeback
         sets = self._scalar_sets
-        span = hi_line - lo_line + 1
-        if sets is not None:
-            if span < n_sets:
-                # Narrow range (the common shape: one page's worth of
-                # lines): enumerate candidate lines instead of walking
-                # every set.  Each line maps to exactly one (set, tag)
-                # slot, so membership is one dict probe.
-                hits: dict = {}
-                for line in range(lo_line, hi_line + 1):
-                    s = line % n_sets
-                    od = sets[s]
-                    if od and (line // n_sets) in od:
-                        hits.setdefault(s, []).append(line // n_sets)
-                for s in sorted(hits):
-                    od = sets[s]
-                    want = hits[s]
-                    if len(want) > 1:
-                        # Restore the LRU-first within-set order the
-                        # full walk produces.
-                        wset = set(want)
-                        want = [t for t in od if t in wset]
-                    for t in want:
-                        if od.pop(t):
-                            stats.writebacks += 1
-                            total += writeback(t * n_sets + s)
-            else:
-                for s, od in enumerate(sets):
-                    if not od:
-                        continue
-                    doomed = [
-                        t for t in od if lo_line <= t * n_sets + s <= hi_line
-                    ]
-                    for t in doomed:
-                        if od.pop(t):
-                            stats.writebacks += 1
-                            total += writeback(t * n_sets + s)
+        if hi_line - lo_line + 1 < n_sets:
+            # Narrow range (the common shape: one page's worth of
+            # lines): probe each candidate line's one (set, tag) slot
+            # instead of walking every set.  With fewer lines than sets
+            # no set holds two candidates, so visiting the lines from
+            # the one in set 0 onward, wrapping to ``lo_line``, is the
+            # set-ascending walk.
+            wrap = lo_line - lo_line % n_sets + n_sets  # next set-0 line
+            for line in chain(
+                range(wrap, hi_line + 1), range(lo_line, min(wrap, hi_line + 1))
+            ):
+                s = line % n_sets
+                od = sets[s]
+                t = line // n_sets
+                if t in od and od.pop(t):  # resident and dirty
+                    stats.writebacks += 1
+                    total += writeback(line)
         else:
-            tagm = self._tag
-            if span < n_sets:
-                # Narrow range: compare only the candidate lines'
-                # (set, tag) slots, not the whole tag matrix.
-                cand = np.arange(lo_line, hi_line + 1, dtype=np.int64)
-                s_idx = cand % n_sets
-                hitm = tagm[s_idx] == (cand // n_sets)[:, None]
-                cr, ways = np.nonzero(hitm)
-                rows = s_idx[cr]
-                doomed_lines = cand[cr]
-            else:
-                lines = tagm * n_sets + np.arange(n_sets, dtype=np.int64)[:, None]
-                doomed_mask = (
-                    (tagm != -1) & (lines >= lo_line) & (lines <= hi_line)
-                )
-                rows, ways = np.nonzero(doomed_mask)
-                doomed_lines = lines[rows, ways]
-            if rows.size:
-                # (set, stamp) order == the dict regime's LRU-first walk.
-                order = np.lexsort((self._stamp[rows, ways], rows))
-                rows = rows[order]
-                ways = ways[order]
-                dirty = self._dirty[rows, ways]
-                if dirty.any():
-                    wb_lines = doomed_lines[order][dirty]
-                    for ln in wb_lines.tolist():
+            for s, od in enumerate(sets):
+                if not od:
+                    continue
+                doomed = [t for t in od if lo_line <= t * n_sets + s <= hi_line]
+                for t in doomed:
+                    if od.pop(t):
                         stats.writebacks += 1
-                        total += writeback(ln)
-                tagm[rows, ways] = -1
-                self._dirty[rows, ways] = False
-                self._stamp[rows, ways] = 0
-                self._occ -= np.bincount(rows, minlength=n_sets)
+                        total += writeback(t * n_sets + s)
         if self.next_level is not None:
             total += self.next_level.flush_range(lo_line, hi_line)
         return total

@@ -188,6 +188,29 @@ class ScalarCache:
             total += self.access_line(int(line), write)
         return total
 
+    def flush_range(self, lo_line: int, hi_line: int) -> float:
+        """Write back and drop all lines in ``[lo_line, hi_line]``.
+
+        Sets are swept in ascending order, each from its LRU end.  A
+        dirty line is posted to the level below (counted in this
+        level's ``writebacks``, posted cost returned); a clean one is
+        dropped.  The flush then cascades to the next level.
+        """
+        total = 0.0
+        for set_idx in range(self._n_sets):
+            tags = self._tags[set_idx]
+            dirty = self._dirty[set_idx]
+            for pos in range(len(tags) - 1, -1, -1):
+                line = tags[pos] * self._n_sets + set_idx
+                if lo_line <= line <= hi_line:
+                    tags.pop(pos)
+                    if dirty.pop(pos):
+                        self.stats.writebacks += 1
+                        total += self._writeback(line)
+        if self.next_level is not None:
+            total += self.next_level.flush_range(lo_line, hi_line)
+        return total
+
     def contains(self, line_addr: int) -> bool:
         """True if ``line_addr`` is currently resident (no state change)."""
         set_idx = line_addr % self._n_sets

@@ -42,11 +42,13 @@ class TestDirtyLinesIn:
         assert c.contains(3)
 
     def test_works_in_the_vectorized_regime(self):
-        c = small_cache()
-        # A large batch flips the cache into its matrix representation.
-        addrs = np.arange(0, 16, dtype=np.int64)
-        c.access_lines(addrs, write=True)
-        assert c.dirty_lines_in(0, 15) == list(range(16))
+        c = small_cache(size=8192)
+        # A batch wider than _SMALL_BATCH leaves the cache in its
+        # matrix representation.
+        n = c._SMALL_BATCH + 32
+        c.access_lines(np.arange(0, n, dtype=np.int64), write=True)
+        assert c._scalar_sets is None
+        assert c.dirty_lines_in(0, n - 1) == list(range(n))
         assert c.dirty_lines_in(4, 7) == [4, 5, 6, 7]
 
     def test_empty_cache_reports_nothing(self):
@@ -96,11 +98,19 @@ class TestFlushRange:
         assert l2.dirty_lines_in(0, 0) == []
 
     def test_flush_after_vectorized_batch(self):
-        c = small_cache()
-        c.access_lines(np.arange(0, 8, dtype=np.int64), write=True)
-        c.flush_range(0, 7)
-        assert c.dirty_lines_in(0, 100) == []
-        assert c.stats.writebacks == 8
+        c = small_cache(size=8192)
+        n = c._SMALL_BATCH + 32
+        c.access_lines(np.arange(0, n, dtype=np.int64), write=True)
+        assert c._scalar_sets is None
+        # Narrow span (fewer lines than sets), then a wide one.
+        assert n // 2 < c.config.n_sets <= n
+        c.flush_range(0, n // 2 - 1)
+        assert c._scalar_sets is not None  # flushing runs on the dict regime
+        assert c.stats.writebacks == n // 2
+        c.flush_range(n // 2, n + c.config.n_sets)
+        assert c.dirty_lines_in(0, 10 * n) == []
+        assert c.resident_lines() == 0
+        assert c.stats.writebacks == n
 
 
 class TestFlushRangeOp:

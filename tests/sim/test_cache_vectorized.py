@@ -29,9 +29,11 @@ LINE = 32
 def make_pair(l1_sets, l1_assoc, l2_sets, l2_assoc, small_batch=0):
     """A (vectorized, scalar) hierarchy pair with identical geometry.
 
-    ``small_batch=0`` pins the vectorized engine to its array paths so
-    the suite actually exercises them on the small streams hypothesis
-    generates; pass ``None`` to keep the production adaptive dispatch.
+    ``small_batch=0`` pins the vectorized engine to its three array
+    paths (all-hit, cold-distinct, and the rounds engine that takes
+    every other batch) so the suite exercises them on the small streams
+    hypothesis generates; pass ``None`` to keep the production adaptive
+    dispatch.
     """
     l1_cfg = CacheConfig(
         size_bytes=l1_sets * l1_assoc * LINE, assoc=l1_assoc, line_bytes=LINE, hit_ns=1.0
@@ -238,26 +240,36 @@ class TestAdaptiveDispatchDifferential:
         assert_identical(vec, ref, dram_v, dram_s)
 
 
-class TestRoundsEngineDifferential:
-    """Force the round-major general path (normally only wide batches
-    trigger it) and re-run the differential checks."""
+class TestFlushDifferential:
+    """``flush_range`` against the scalar model's, interleaved with
+    batches in both regimes: a wide batch leaves the levels in the
+    matrix regime, which the flush converts, and a narrow one in the
+    dict regime."""
 
-    @staticmethod
-    def _force_rounds(vec):
-        for c in (vec[0], vec[2]):
-            c._ROUNDS_MIN_OPS = 1
-            c._ROUNDS_WIDTH = 0
-
-    @given(geom=geometry, streams=workload)
+    @given(geom=geometry, streams=mixed_workload, data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_bit_identical_streams_rounds(self, geom, streams):
-        vec, ref, dram_v, dram_s = make_pair(*geom)
-        self._force_rounds(vec)
+    def test_bit_identical_flushes(self, geom, streams, data):
+        vec, ref, dram_v, dram_s = make_pair(*geom, small_batch=None)
         for i, (lines, write) in enumerate(streams):
             lat_v = vec[0].access_lines(lines, write=write)
             lat_s = ref[0].access_lines(lines, write=write)
-            assert lat_v == lat_s, f"latency, stream {i} ({lines[:8]}...)"
+            assert lat_v == lat_s, f"latency, stream {i} (n={len(lines)})"
+            if data.draw(st.booleans(), label=f"flush[{i}]"):
+                # Anchor the range on a line just touched; spans run
+                # from below the L1's set count to above the L2's.
+                anchor = data.draw(st.sampled_from(lines), label=f"anchor[{i}]")
+                lo = max(0, anchor - data.draw(st.integers(0, 8), label=f"back[{i}]"))
+                span = data.draw(st.integers(1, 40), label=f"span[{i}]")
+                cost_v = vec[0].flush_range(lo, lo + span - 1)
+                cost_s = ref[0].flush_range(lo, lo + span - 1)
+                assert cost_v == cost_s, f"flush cost, stream {i}"
             assert_identical(vec, ref, dram_v, dram_s, ctx=f"stream {i}")
+
+
+class TestRoundsEngineDifferential:
+    """The rounds engine on a realistically wide workload; the small
+    mixed batches of ``TestBatchedDifferential`` cover it on narrow
+    ones."""
 
     def test_wide_write_scan_uses_rounds(self):
         """The cold-write shape: L2 receives interleaved fills+installs
@@ -281,7 +293,7 @@ class TestFastPathCoverage:
     """Deterministic streams that pin each vector path specifically."""
 
     def test_cold_contiguous_block(self):
-        """Path 2: cold distinct stream (the ``lines_for_block`` shape)."""
+        """Cold-distinct path: cold stream (the ``lines_for_block`` shape)."""
         vec, ref, dram_v, dram_s = make_pair(4, 2, 16, 4)
         lines = range(0, 32)
         assert vec[0].access_lines(lines, write=True) == ref[0].access_lines(
@@ -290,7 +302,7 @@ class TestFastPathCoverage:
         assert_identical(vec, ref, dram_v, dram_s)
 
     def test_all_hit_retouch(self):
-        """Path 1: warm re-touch run, repeats included."""
+        """All-hit path: warm re-touch run, repeats included."""
         vec, ref, dram_v, dram_s = make_pair(4, 2, 16, 4)
         warm = [0, 1, 2, 3]
         vec[0].access_lines(warm, write=False)
@@ -302,7 +314,7 @@ class TestFastPathCoverage:
         assert_identical(vec, ref, dram_v, dram_s)
 
     def test_mixed_residual(self):
-        """Path 3: interleaved hits, misses, conflict evictions."""
+        """Rounds path: interleaved hits, misses, conflict evictions."""
         vec, ref, dram_v, dram_s = make_pair(2, 2, 4, 2)
         stream = [0, 2, 4, 0, 6, 2, 8, 0, 10, 4]
         assert vec[0].access_lines(stream, write=True) == ref[0].access_lines(

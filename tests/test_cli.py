@@ -127,7 +127,7 @@ class TestSweepCLI:
         self, capsys, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["fig8", "--quick", "--trace-summary"]) == 0
+        assert main(["fig9", "--quick", "--trace-summary"]) == 0
         from repro.experiments import harness
 
         cache = harness.ResultCache(tmp_path / "cache")
